@@ -19,10 +19,17 @@ import (
 // open evaluation service should not buffer arbitrary uploads.
 const maxRequestBytes = 4 << 20
 
-// streamWriteTimeout bounds each NDJSON line write so a connected client
-// that stops reading cannot wedge a sweep's workers behind a full TCP
-// buffer.
+// streamWriteTimeout bounds each streaming write (a sweep's run of ready
+// NDJSON lines, one job result line, one session event) so a connected
+// client that stops reading cannot wedge a sweep's workers behind a full
+// TCP buffer.
 const streamWriteTimeout = 30 * time.Second
+
+// streamRenewBytes is how much of one run of ready sweep lines a single
+// write deadline covers. A long run renews its deadline after this many
+// bytes, so a client that is still reading, just slowly (16 KiB per
+// streamWriteTimeout or faster), is never cut off partway through a run.
+const streamRenewBytes = 16 << 10
 
 // nl terminates NDJSON lines; a shared slice so streaming writes do not
 // allocate per line.
@@ -321,8 +328,11 @@ func (a *app) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	streaming := false
-	// The connection outlives this handler (keep-alive), so the per-line
-	// deadline must not leak into the next request on it.
+	// renewIn is what the current deadline still covers; <= 0 means the
+	// next write sets a fresh one. The connection outlives this handler
+	// (keep-alive), so the deadline must not leak into the next request
+	// on it.
+	renewIn := 0
 	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
 	err := a.svc.SweepStreamLines(r.Context(), req, func(sl batsched.SweepLine) error {
 		if !streaming {
@@ -331,21 +341,32 @@ func (a *app) handleSweep(w http.ResponseWriter, r *http.Request) {
 			streaming = true
 		}
 		// A connected client that stops reading would otherwise block
-		// this write forever — and with it the sweep's workers and a
-		// service concurrency slot. Bound each line; a missed deadline
-		// fails the emit, which cancels the sweep's remaining cells.
-		// The service hands over pre-encoded line bytes (cached cells
-		// pass store bytes straight through), so the handler writes, it
-		// never marshals.
-		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+		// these writes forever — and with them the sweep's workers and a
+		// service concurrency slot. Bound each run of ready lines, and
+		// each streamRenewBytes of a long run; a missed deadline fails
+		// the emit, which cancels the sweep's remaining cells. The
+		// service hands over pre-encoded line bytes (cached cells pass
+		// store bytes straight through), so the handler writes, it never
+		// marshals.
+		if renewIn <= 0 {
+			_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+			renewIn = streamRenewBytes
+		}
 		if _, err := w.Write(sl.Line); err != nil {
 			return err
 		}
 		if _, err := w.Write(nl); err != nil {
 			return err
 		}
-		if flusher != nil {
-			flusher.Flush()
+		renewIn -= len(sl.Line) + len(nl)
+		// Flush once per run of ready lines: a line without More is the
+		// last before the stream waits on an unfinished cell (or ends),
+		// so the client always holds every line that is done.
+		if !sl.More {
+			renewIn = 0
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 		return nil
 	})

@@ -129,18 +129,13 @@ type Compiled struct {
 }
 
 // Compile discretizes a bank and a load onto a grid, producing the shared
-// immutable artifact directly (without going through a Problem).
+// immutable artifact directly (without going through a Problem). The
+// per-battery tables come from a process-wide intern table, so artifacts on
+// the same battery and grid share them.
 func Compile(batteries []battery.Params, ld load.Load, stepMin, unitAmpMin float64) (*Compiled, error) {
-	if len(batteries) == 0 {
-		return nil, ErrNoBatteries
-	}
-	ds := make([]*dkibam.Discretization, len(batteries))
-	for i, b := range batteries {
-		d, err := dkibam.Discretize(b, stepMin, unitAmpMin)
-		if err != nil {
-			return nil, fmt.Errorf("battery %d: %w", i, err)
-		}
-		ds[i] = d
+	ds, err := discretizeBank(batteries, stepMin, unitAmpMin)
+	if err != nil {
+		return nil, err
 	}
 	cl, err := load.Compile(ld, stepMin, unitAmpMin)
 	if err != nil {
@@ -154,6 +149,23 @@ func Compile(batteries []battery.Params, ld load.Load, stepMin, unitAmpMin float
 	}, nil
 }
 
+// discretizeBank takes each battery's table from the shared intern table
+// (see discretize), so identical batteries share one table.
+func discretizeBank(batteries []battery.Params, stepMin, unitAmpMin float64) ([]*dkibam.Discretization, error) {
+	if len(batteries) == 0 {
+		return nil, ErrNoBatteries
+	}
+	ds := make([]*dkibam.Discretization, len(batteries))
+	for i, b := range batteries {
+		d, err := discretize(b, stepMin, unitAmpMin)
+		if err != nil {
+			return nil, fmt.Errorf("battery %d: %w", i, err)
+		}
+		ds[i] = d
+	}
+	return ds, nil
+}
+
 // CompileBank discretizes a bank onto a grid with an empty load: the
 // artifact behind streaming sessions, whose load arrives event by event
 // (dkibam.System.AppendEpoch) instead of being compiled up front. The
@@ -162,16 +174,9 @@ func Compile(batteries []battery.Params, ld load.Load, stepMin, unitAmpMin float
 // are useless here (no load to run). One bank artifact is safe to share
 // across any number of concurrent sessions.
 func CompileBank(batteries []battery.Params, stepMin, unitAmpMin float64) (*Compiled, error) {
-	if len(batteries) == 0 {
-		return nil, ErrNoBatteries
-	}
-	ds := make([]*dkibam.Discretization, len(batteries))
-	for i, b := range batteries {
-		d, err := dkibam.Discretize(b, stepMin, unitAmpMin)
-		if err != nil {
-			return nil, fmt.Errorf("battery %d: %w", i, err)
-		}
-		ds[i] = d
+	ds, err := discretizeBank(batteries, stepMin, unitAmpMin)
+	if err != nil {
+		return nil, err
 	}
 	return &Compiled{
 		batteries: append([]battery.Params(nil), batteries...),

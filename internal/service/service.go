@@ -289,6 +289,11 @@ type SweepLine struct {
 	// Stats points at the optimal-search work counters of an evaluated
 	// cell; nil for cached lines and for solvers without a search.
 	Stats *sched.SearchStats
+	// More reports that the next line in order is already done and follows
+	// in the same burst: a streaming transport can defer its flush until a
+	// line arrives with More unset, which is always the case before the
+	// stream waits on an unfinished cell and on the last line.
+	More bool
 }
 
 // SweepStream evaluates the scenario grid and emits each result as soon as
@@ -411,13 +416,13 @@ func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func
 	enc := json.NewEncoder(&encBuf)
 
 	// emitOne delivers the cell at index i (already ready) in the caller's
-	// chosen form.
-	emitOne := func(i int) error {
+	// chosen form; more is SweepLine.More.
+	emitOne := func(i int, more bool) error {
 		r := &slots[i].r
 		if r.Cached {
 			line := cellLines[i]
 			if emitLine != nil {
-				return emitLine(SweepLine{Line: line, Cached: true})
+				return emitLine(SweepLine{Line: line, Cached: true, More: more})
 			}
 			var res Result
 			if err := json.Unmarshal(line, &res); err != nil {
@@ -432,7 +437,7 @@ func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func
 		// A committed cell was already marshalled once on the commit path;
 		// reuse the store-owned bytes instead of encoding twice.
 		if cellLines != nil && cellLines[i] != nil {
-			return emitLine(SweepLine{Line: cellLines[i], Stats: res.Stats})
+			return emitLine(SweepLine{Line: cellLines[i], Stats: res.Stats, More: more})
 		}
 		encBuf.Reset()
 		if err := enc.Encode(res); err != nil {
@@ -440,7 +445,7 @@ func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func
 		}
 		line := encBuf.Bytes()
 		line = line[:len(line)-1] // Encode appends '\n'
-		return emitLine(SweepLine{Line: line, Stats: res.Stats})
+		return emitLine(SweepLine{Line: line, Stats: res.Stats, More: more})
 	}
 
 	opts := sweep.Options{
@@ -474,7 +479,8 @@ func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func
 			}
 			slots[i] = slot{r: r, ready: true}
 			for next < n && slots[next].ready {
-				if err := emitOne(next); err != nil {
+				more := next+1 < n && slots[next+1].ready
+				if err := emitOne(next, more); err != nil {
 					emitErr = err
 					stop()
 					return
@@ -559,11 +565,14 @@ func (s *Service) lookupCell(ctx context.Context, i int, digests []string, cellL
 	}
 	d := digests[i]
 	for {
-		// Re-probe without counters: the bulk probe already recorded this
-		// cell's miss; a hit here means another sweep committed it since
-		// (counted as a waited hit below only when we actually parked).
+		// Re-probe without the store's counters: the bulk probe already
+		// recorded this cell's miss there. A hit here means another sweep
+		// committed the cell since; it is served from the store, so it is
+		// a cell hit of this service, exactly like a waited-out flight,
+		// whatever the timing of the concurrent sweeps.
 		if line, ok := s.st.PeekCell(d); ok {
 			cellLines[i] = line
+			s.cellHits.Add(1)
 			return sweep.Result{}, true
 		}
 		s.flightMu.Lock()

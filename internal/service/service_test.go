@@ -413,17 +413,23 @@ func TestEmitErrorCancelsRemainingCells(t *testing.T) {
 }
 
 // sweepLines collects a line-path sweep: the raw NDJSON lines (copied) and
-// the per-line cached flags.
+// the per-line cached flags. The last line must end its run (More unset):
+// nothing follows it.
 func sweepLines(t *testing.T, s *Service, sc spec.Scenario) (lines []string, cached []bool) {
 	t.Helper()
+	more := false
 	err := s.SweepStreamLines(context.Background(), SweepRequest{Scenario: sc, Workers: 2},
 		func(sl SweepLine) error {
 			lines = append(lines, string(sl.Line))
 			cached = append(cached, sl.Cached)
+			more = sl.More
 			return nil
 		})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if more {
+		t.Fatal("last sweep line announces More")
 	}
 	return lines, cached
 }

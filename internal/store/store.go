@@ -46,9 +46,11 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"batsched/internal/obs"
 )
@@ -161,6 +163,7 @@ type Store struct {
 	requests map[string][]string
 	f        File   // nil = memory-only
 	pend     []byte // scratch: records of the put being committed
+	crcIn    []byte // scratch: checksum input (see crc)
 
 	// Write-circuit state (guarded by mu).
 	degraded bool      // breaker open: puts fail fast
@@ -215,25 +218,32 @@ type record struct {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// checksum covers the record's content fields with unambiguous framing
-// (a type tag plus NUL separators, so field boundaries can't alias).
-func (rec *record) checksum() uint32 {
-	h := crc32.New(crcTable)
+// crc returns the record's checksum. It covers the content fields with
+// unambiguous framing (a type tag plus NUL separators, so field boundaries
+// can't alias), framed in the store's scratch buffer so neither puts nor
+// replay allocate for it. Callers hold mu or, like replay, own the store.
+func (s *Store) crc(rec *record) uint32 {
+	s.crcIn = rec.crcInput(s.crcIn[:0])
+	return crc32.Checksum(s.crcIn, crcTable)
+}
+
+// crcInput appends the framed content fields the checksum covers to dst.
+func (rec *record) crcInput(dst []byte) []byte {
 	switch {
 	case rec.Cell != "":
-		io.WriteString(h, "c\x00")
-		io.WriteString(h, rec.Cell)
-		h.Write([]byte{0})
-		h.Write(rec.Result)
+		dst = append(dst, "c\x00"...)
+		dst = append(dst, rec.Cell...)
+		dst = append(dst, 0)
+		dst = append(dst, rec.Result...)
 	case rec.Req != "":
-		io.WriteString(h, "r\x00")
-		io.WriteString(h, rec.Req)
+		dst = append(dst, "r\x00"...)
+		dst = append(dst, rec.Req...)
 		for _, c := range rec.Cells {
-			h.Write([]byte{0})
-			io.WriteString(h, c)
+			dst = append(dst, 0)
+			dst = append(dst, c...)
 		}
 	}
-	return h.Sum32()
+	return dst
 }
 
 // Open builds a store with default options. An empty path means
@@ -317,16 +327,8 @@ func OpenWith(opts Options) (*Store, error) {
 		if len(trimmed) == 0 {
 			continue
 		}
-		var rec record
-		if err := json.Unmarshal(trimmed, &rec); err != nil {
-			s.quarantined.Add(1)
-			continue
-		}
-		if rec.CRC != 0 && rec.CRC != rec.checksum() {
-			s.quarantined.Add(1)
-			continue
-		}
-		if !s.replay(rec) {
+		rec, ok := s.decodeRecord(trimmed)
+		if !ok || !s.replay(rec) {
 			s.quarantined.Add(1)
 		}
 	}
@@ -339,6 +341,19 @@ func OpenWith(opts Options) (*Store, error) {
 	s.f = f
 	s.lastSync = s.now()
 	return s, nil
+}
+
+// decodeRecord parses one non-empty file line, reporting false for a line
+// replay must quarantine: bad JSON or a CRC mismatch.
+func (s *Store) decodeRecord(line []byte) (record, bool) {
+	var rec record
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return record{}, false
+	}
+	if rec.CRC != 0 && rec.CRC != s.crc(&rec) {
+		return record{}, false
+	}
+	return rec, true
 }
 
 // replay loads one file record into the maps, reporting whether the record
@@ -447,10 +462,13 @@ func (s *Store) LookupCells(digests []string) ([]json.RawMessage, int) {
 // PutCell stores one result line under a cell digest. Entries are
 // immutable: a digest already present is left untouched (the first writer
 // wins — identical cells produce identical bytes, so there is nothing to
-// overwrite). The line is copied; callers may reuse their buffer. When the
-// append fails (after retries) or the write circuit is open, the memory
-// map is NOT updated — memory and file stay coherent, the caller sees the
-// error, and the result is simply not cached.
+// overwrite). The line is copied; callers may reuse their buffer. A
+// file-backed store keeps it compacted (see encodeCellLocked), so the
+// memory map, the CRC and the file hold the same bytes and a reopened
+// store serves exactly what was served before. When the append fails
+// (after retries) or the write circuit is open, the memory map is NOT
+// updated — memory and file stay coherent, the caller sees the error, and
+// the result is simply not cached.
 func (s *Store) PutCell(digest string, line json.RawMessage) error {
 	if digest == "" {
 		return fmt.Errorf("store: empty cell digest")
@@ -460,9 +478,9 @@ func (s *Store) PutCell(digest string, line json.RawMessage) error {
 	if _, dup := s.cells[digest]; dup {
 		return nil
 	}
-	owned := append(json.RawMessage(nil), line...)
 	s.pend = s.pend[:0]
-	if err := s.encodeLocked(record{Cell: digest, Result: owned}); err != nil {
+	owned, err := s.encodeCellLocked(digest, line)
+	if err != nil {
 		return err
 	}
 	if err := s.commitLocked(); err != nil {
@@ -501,11 +519,11 @@ func (s *Store) PutRequest(digest string, cellDigests []string, lines []json.Raw
 			if _, dup := s.cells[cd]; dup {
 				continue
 			}
-			owned := append(json.RawMessage(nil), lines[i]...)
-			adds = append(adds, newCell{cd, owned})
-			if err := s.encodeLocked(record{Cell: cd, Result: owned}); err != nil {
+			owned, err := s.encodeCellLocked(cd, lines[i])
+			if err != nil {
 				return err
 			}
+			adds = append(adds, newCell{cd, owned})
 		}
 	}
 	_, dupReq := s.requests[digest]
@@ -531,13 +549,82 @@ func (s *Store) PutRequest(digest string, cellDigests []string, lines []json.Raw
 	return nil
 }
 
+// canonicalLine returns a copy of line in the form json.Marshal writes a
+// json.RawMessage: compact, with <, > and & (and U+2028, U+2029) escaped.
+// A line that is not valid JSON is an error: replay could not parse it.
+func canonicalLine(line []byte) (json.RawMessage, error) {
+	return json.Marshal(json.RawMessage(line))
+}
+
+// plainDigest reports whether json.Marshal writes d as "d", unescaped.
+func plainDigest(d string) bool {
+	for i := 0; i < len(d); i++ {
+		switch c := d[i]; {
+		case c < ' ', c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// appendCellRecord appends the file line of one cell record to dst: the
+// bytes json.Marshal writes for record{Cell: digest, Result: line, CRC:
+// crc}, plus the newline, without a reflective second pass over the line.
+// line must be canonical (see canonicalLine).
+func appendCellRecord(dst []byte, digest string, line json.RawMessage, crc uint32) ([]byte, error) {
+	dst = append(dst, `{"cell":`...)
+	if plainDigest(digest) {
+		dst = append(dst, '"')
+		dst = append(dst, digest...)
+		dst = append(dst, '"')
+	} else {
+		// A digest json.Marshal would rewrite lossily could never match
+		// its CRC on replay.
+		if !utf8.ValidString(digest) {
+			return nil, fmt.Errorf("store: cell digest %q is not valid UTF-8", digest)
+		}
+		q, err := json.Marshal(digest)
+		if err != nil {
+			return nil, fmt.Errorf("store: encode record: %w", err)
+		}
+		dst = append(dst, q...)
+	}
+	dst = append(dst, `,"result":`...)
+	dst = append(dst, line...)
+	if crc != 0 {
+		dst = append(dst, `,"crc":`...)
+		dst = strconv.AppendUint(dst, uint64(crc), 10)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// encodeCellLocked returns the bytes the store keeps for a cell put and
+// appends the cell's checksummed record to the pending buffer. A memory-only
+// store keeps a plain copy of line, as given; a file-backed one keeps the
+// canonical line, the bytes its file holds and its replay returns.
+func (s *Store) encodeCellLocked(digest string, line json.RawMessage) (json.RawMessage, error) {
+	if s.f == nil {
+		return append(json.RawMessage(nil), line...), nil
+	}
+	owned, err := canonicalLine(line)
+	if err != nil {
+		return nil, err
+	}
+	pend, err := appendCellRecord(s.pend, digest, owned, s.crc(&record{Cell: digest, Result: owned}))
+	if err != nil {
+		return nil, err
+	}
+	s.pend = pend
+	return owned, nil
+}
+
 // encodeLocked marshals one record (checksummed) into the pending buffer.
 // No-op for memory-only stores so the map-only path stays allocation-free.
 func (s *Store) encodeLocked(rec record) error {
 	if s.f == nil {
 		return nil
 	}
-	rec.CRC = rec.checksum()
+	rec.CRC = s.crc(&rec)
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: encode record: %w", err)
