@@ -16,7 +16,7 @@
 //   - deterministic scheduling schemes — Sequential, RoundRobin,
 //     BestAvailable — simulated on the discretized model (PolicyLifetime),
 //   - the optimal schedule, computed either by direct branch-and-bound over
-//     the scheduling decisions (OptimalLifetime) or, as in the paper, by
+//     the scheduling decisions (Optimal) or, as in the paper, by
 //     minimum-cost reachability on a network of priced timed automata
 //     (OptimalLifetimeTA).
 //
@@ -25,8 +25,8 @@
 //	l, _ := batsched.PaperLoad("ILs alt", 120)
 //	p, _ := batsched.NewProblem([]batsched.BatteryParams{batsched.B1(), batsched.B1()}, l)
 //	best, _ := p.PolicyLifetime(batsched.BestAvailable())
-//	opt, _, _ := p.OptimalLifetime()
-//	fmt.Printf("best-of-two %.2f min, optimal %.2f min\n", best, opt)
+//	opt, _ := p.Optimal(batsched.OptimalOptions{})
+//	fmt.Printf("best-of-two %.2f min, optimal %.2f min\n", best, opt.Lifetime)
 //
 // See the examples directory for complete programs and EXPERIMENTS.md for
 // the reproduction of every table and figure of the paper.
@@ -212,6 +212,10 @@ func SweepOptimal() SweepPolicy { return sweep.OptimalCase() }
 
 // SearchOptions bound the state space of the timed-automata search.
 type SearchOptions = mc.Options
+
+// OptimalOptions configure the direct optimal search (Problem.Optimal):
+// its worker count, or the unoptimised reference search.
+type OptimalOptions = sched.Options
 
 // OptimalSearchStats counts the work of the direct optimal search (states
 // expanded, memo hits, pruned branches); sweeps and the evaluation service

@@ -24,10 +24,11 @@ func TestPublicQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, schedule, err := p.OptimalLifetime()
+	res, err := p.Optimal(batsched.OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt, schedule := res.Lifetime, res.Schedule
 	if math.Abs(best-16.28) > 1e-9 || math.Abs(opt-16.90) > 1e-9 {
 		t.Fatalf("best %v / optimal %v, want 16.28 / 16.90", best, opt)
 	}
@@ -96,12 +97,12 @@ func TestPublicTA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, err := p.OptimalLifetime()
+	direct, err := p.Optimal(batsched.OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.LifetimeMinutes != direct {
-		t.Fatalf("TA %v vs direct %v", sol.LifetimeMinutes, direct)
+	if sol.LifetimeMinutes != direct.Lifetime {
+		t.Fatalf("TA %v vs direct %v", sol.LifetimeMinutes, direct.Lifetime)
 	}
 }
 
@@ -160,16 +161,16 @@ func TestPublicCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := c.OptimalLifetime()
+	opt, err := c.Optimal(batsched.OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	optPar, _, err := c.OptimalLifetimeParallel(2)
+	optPar, err := c.Optimal(batsched.OptimalOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(best-16.28) > 1e-9 || math.Abs(opt-16.90) > 1e-9 || optPar != opt {
-		t.Fatalf("best %v, optimal %v, parallel optimal %v", best, opt, optPar)
+	if math.Abs(best-16.28) > 1e-9 || math.Abs(opt.Lifetime-16.90) > 1e-9 || optPar.Lifetime != opt.Lifetime {
+		t.Fatalf("best %v, optimal %v, parallel optimal %v", best, opt.Lifetime, optPar.Lifetime)
 	}
 }
 

@@ -110,9 +110,11 @@ func BenchmarkTable5(b *testing.B) {
 				if bo, err = sched.Lifetime(ds, cl, sched.BestAvailable()); err != nil {
 					b.Fatal(err)
 				}
-				if opt, _, err = sched.Optimal(ds, cl); err != nil {
+				res, err := sched.Solve(ds, cl, sched.Options{})
+				if err != nil {
 					b.Fatal(err)
 				}
+				opt = res.Lifetime
 			}
 			b.ReportMetric(seq, "seq-min")
 			b.ReportMetric(rr, "rr-min")
@@ -276,7 +278,7 @@ func BenchmarkOptimalSearch(b *testing.B) {
 	cl := benchCompiled(b, "ILs alt")
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sched.Optimal(ds, cl); err != nil {
+			if _, err := sched.Solve(ds, cl, sched.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"batsched"
 )
@@ -125,19 +126,15 @@ func run(p *batsched.Problem, label string, direct bool, budget, workers int, sh
 	if err != nil {
 		return err
 	}
-	var (
-		lifetime float64
-		schedule batsched.Schedule
-		stats    batsched.OptimalSearchStats
-	)
-	if workers == 1 {
-		lifetime, schedule, stats, err = c.OptimalLifetimeWithStats()
-	} else {
-		lifetime, schedule, stats, err = c.OptimalLifetimeParallelWithStats(workers)
+	poolSize := workers
+	if poolSize <= 0 {
+		poolSize = runtime.NumCPU()
 	}
+	res, err := c.Optimal(batsched.OptimalOptions{Workers: poolSize})
 	if err != nil {
 		return err
 	}
+	lifetime, schedule, stats := res.Lifetime, res.Schedule, res.Stats
 	fmt.Println(label)
 	fmt.Printf("optimal lifetime (direct search):  %.2f min (%d decisions)\n", lifetime, len(schedule))
 	if showStats {

@@ -246,6 +246,7 @@ func TestRunBadRequests(t *testing.T) {
 		"unknown preset":   `{"bank":{"battery":{"preset":"B9"}},"load":{"paper":"ILs alt"},"solver":"bestof"}`,
 		"17xB1 optimal":    `{"bank":{"battery":{"preset":"B1"},"count":17},"load":{"paper":"ILs alt"},"solver":"optimal"}`,
 		"negative horizon": `{"bank":{"battery":{"preset":"B1"}},"load":{"paper":"ILs alt","horizon_min":-5},"solver":"bestof"}`,
+		"oversized pool":   `{"bank":{"battery":{"preset":"B1"},"count":2},"load":{"paper":"ILs alt"},"solver":{"optimal":{"workers":1073741824}}}`,
 	}
 	for name, body := range cases {
 		resp, data := postJSON(t, ts.URL+"/v1/run", body)

@@ -43,12 +43,12 @@ func main() {
 		fmt.Printf("  %-12s %6.2f min\n", policy.Name(), lifetime)
 	}
 
-	optimal, schedule, err := problem.OptimalLifetime()
+	opt, err := problem.Optimal(batsched.OptimalOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %-12s %6.2f min (+%.1f%% over round robin)\n",
-		"optimal", optimal, 100*(optimal-roundRobin)/roundRobin)
+		"optimal", opt.Lifetime, 100*(opt.Lifetime-roundRobin)/roundRobin)
 
 	// The paper's route: minimum-cost reachability on the TA-KiBaM network.
 	sol, err := problem.OptimalLifetimeTA(batsched.SearchOptions{})
@@ -59,7 +59,7 @@ func main() {
 		"optimal(TA)", sol.LifetimeMinutes, sol.Cost)
 
 	fmt.Println("optimal schedule (battery per job):")
-	for _, c := range schedule {
+	for _, c := range opt.Schedule {
 		fmt.Printf("  %6.2f min  %-15s -> battery %d\n", c.Minutes, c.Reason, c.Battery+1)
 	}
 	fmt.Println("\nnote the irregular pattern — the paper observes the optimal")

@@ -46,7 +46,7 @@ type Measurement struct {
 	BytesPerOp  int64 `json:"bytes_per_op"`
 }
 
-// Baseline is the reference optimal search (SearchOptions zero value) run
+// Baseline is the reference optimal search (sched.Options.Reference) run
 // once on the same cell, with the resulting improvement ratios.
 type Baseline struct {
 	Ns          int64   `json:"ns"`
@@ -159,87 +159,42 @@ func policyCase(name string, bats []battery.Params, loadName string, horizon flo
 	}, nil
 }
 
-// optimalCase measures the default optimal search, records its counters
-// (from the last measured run — every search counts them, so no extra run
-// is needed), and (once) times the reference search for the improvement
-// ratios.
-func optimalCase(name string, bats []battery.Params, loadName string, horizon float64) (kase, error) {
-	ds, cl, err := compileCell(bats, loadName, horizon)
-	if err != nil {
-		return kase{}, err
-	}
-	var last sched.SearchStats
-	return kase{
-		name: name,
-		run: func() (float64, error) {
-			lt, _, st, err := sched.OptimalWithStats(ds, cl)
-			last = st
-			return lt, err
-		},
-		stats: func() (sched.SearchStats, error) {
-			return last, nil
-		},
-		baseline: func() (time.Duration, sched.SearchStats, error) {
-			t0 := time.Now()
-			_, _, st, err := sched.OptimalWithOptions(ds, cl, sched.SearchOptions{})
-			return time.Since(t0), st, err
-		},
-	}, nil
-}
-
-// heterogeneousCase measures the default serial search on a mixed-preset
-// bank at an explicit (coarse) grid. There is no reference-search baseline:
-// without canonicalization and pruning a six-battery heterogeneous bank
-// never terminates in benchmark time — which is the point of the case. The
-// states counter is deterministic and gated.
-func heterogeneousCase(name string, bats []battery.Params, loadName string, horizon, stepMin, unitAmpMin float64) (kase, error) {
-	ds, cl, err := compileCellGrid(bats, loadName, horizon, stepMin, unitAmpMin)
-	if err != nil {
-		return kase{}, err
-	}
-	var last sched.SearchStats
-	return kase{
-		name: name,
-		run: func() (float64, error) {
-			lt, _, st, err := sched.OptimalWithStats(ds, cl)
-			last = st
-			return lt, err
-		},
-		stats: func() (sched.SearchStats, error) {
-			return last, nil
-		},
-	}, nil
-}
-
-// parallelCase measures the work-stealing search at a fixed worker count.
-// Its baseline is the serial default search on the same cell, so the
+// searchCase measures Solve(opts) on one cell and records its counters.
+// base, when non-nil, is timed once as the case's baseline. For the serial
+// cases it is the reference search, whose states give the improvement
+// ratios. For the parallel cases it is the serial default search, so the
 // recorded SpeedupX is the parallel speedup (≈1 on a single-CPU machine —
 // CheckSpeedups only enforces the floor when NumCPU covers the workers).
-// Explored states are nondeterministic under stealing, so Compare exempts
-// optimal-par/* from the states gate.
-func parallelCase(name string, bats []battery.Params, loadName string, horizon, stepMin, unitAmpMin float64, workers int) (kase, error) {
+// The heterogeneous case has none: without canonicalization and pruning a
+// six-battery mixed bank never terminates in benchmark time. Explored states
+// are nondeterministic under stealing, so Compare exempts optimal-par/* from
+// the states gate.
+func searchCase(name string, bats []battery.Params, loadName string, horizon, stepMin, unitAmpMin float64, opts sched.Options, base *sched.Options) (kase, error) {
 	ds, cl, err := compileCellGrid(bats, loadName, horizon, stepMin, unitAmpMin)
 	if err != nil {
 		return kase{}, err
 	}
 	var last sched.SearchStats
-	return kase{
+	k := kase{
 		name:    name,
-		workers: workers,
+		workers: opts.Workers,
 		run: func() (float64, error) {
-			lt, _, st, err := sched.OptimalParallelWithStats(ds, cl, workers)
-			last = st
-			return lt, err
+			res, err := sched.Solve(ds, cl, opts)
+			last = res.Stats
+			return res.Lifetime, err
 		},
 		stats: func() (sched.SearchStats, error) {
 			return last, nil
 		},
-		baseline: func() (time.Duration, sched.SearchStats, error) {
+	}
+	if base != nil {
+		k.baseline = func() (time.Duration, sched.SearchStats, error) {
 			t0 := time.Now()
-			_, _, st, err := sched.OptimalWithStats(ds, cl)
-			return time.Since(t0), st, err
-		},
-	}, nil
+			res, err := sched.Solve(ds, cl, *base)
+			return time.Since(t0), res.Stats, err
+		}
+	}
+	return k, nil
 }
 
 // sweepCase measures a full policy grid through the sweep runner. The spec
@@ -680,16 +635,20 @@ func suite() ([]kase, error) {
 	if err := add(sweepCase("sweep/2xB1/paper/policies", sweep.BankOf("2xB1", b1, 2), nil, 200, 1)); err != nil {
 		return nil, err
 	}
-	if err := add(optimalCase("optimal/2xB1/ILs alt", battery.Bank(b1, 2), "ILs alt", 200)); err != nil {
+	paper := func(name string, bats []battery.Params, loadName string) (kase, error) {
+		return searchCase(name, bats, loadName, 200, dkibam.PaperStepMin, dkibam.PaperUnitAmpMin,
+			sched.Options{}, &sched.Options{Reference: true})
+	}
+	if err := add(paper("optimal/2xB1/ILs alt", battery.Bank(b1, 2), "ILs alt")); err != nil {
 		return nil, err
 	}
-	if err := add(optimalCase("optimal/2xB1/ILs r1", battery.Bank(b1, 2), "ILs r1", 200)); err != nil {
+	if err := add(paper("optimal/2xB1/ILs r1", battery.Bank(b1, 2), "ILs r1")); err != nil {
 		return nil, err
 	}
-	if err := add(optimalCase("optimal/4xB1/CL 500", battery.Bank(b1, 4), "CL 500", 200)); err != nil {
+	if err := add(paper("optimal/4xB1/CL 500", battery.Bank(b1, 4), "CL 500")); err != nil {
 		return nil, err
 	}
-	if err := add(optimalCase("optimal/3xHiC/ILs alt", battery.Bank(hiC, 3), "ILs alt", 200)); err != nil {
+	if err := add(paper("optimal/3xHiC/ILs alt", battery.Bank(hiC, 3), "ILs alt")); err != nil {
 		return nil, err
 	}
 	// The heterogeneous showcase: a mixed 3xB1 + 3xB2 bank on the coarse
@@ -698,14 +657,15 @@ func suite() ([]kase, error) {
 	// serial-baseline speedup CheckSpeedups holds above the floor on
 	// multi-core runners.
 	mixed := []battery.Params{b1, b1, b1, battery.B2(), battery.B2(), battery.B2()}
-	if err := add(heterogeneousCase("optimal/3xB1+3xB2/ILs 500", mixed, "ILs 500", 2000, 0.5, 0.5)); err != nil {
+	par4, serial := sched.Options{Workers: 4}, &sched.Options{}
+	if err := add(searchCase("optimal/3xB1+3xB2/ILs 500", mixed, "ILs 500", 2000, 0.5, 0.5, sched.Options{}, nil)); err != nil {
 		return nil, err
 	}
-	if err := add(parallelCase("optimal-par/4w/4xB1/CL 500", battery.Bank(b1, 4), "CL 500", 200,
-		dkibam.PaperStepMin, dkibam.PaperUnitAmpMin, 4)); err != nil {
+	if err := add(searchCase("optimal-par/4w/4xB1/CL 500", battery.Bank(b1, 4), "CL 500", 200,
+		dkibam.PaperStepMin, dkibam.PaperUnitAmpMin, par4, serial)); err != nil {
 		return nil, err
 	}
-	if err := add(parallelCase("optimal-par/4w/3xB1+3xB2/ILs 500", mixed, "ILs 500", 2000, 0.5, 0.5, 4)); err != nil {
+	if err := add(searchCase("optimal-par/4w/3xB1+3xB2/ILs 500", mixed, "ILs 500", 2000, 0.5, 0.5, par4, serial)); err != nil {
 		return nil, err
 	}
 	// The orchestration pair: the same pinned 200-case grid through the job

@@ -287,29 +287,18 @@ func (c *Compiled) PolicyRun(policy sched.Policy) (float64, sched.Schedule, erro
 	return sched.Run(c.discs, c.cl, policy)
 }
 
-// OptimalLifetime computes the maximum achievable lifetime and an optimal
-// schedule by direct iterative search over the scheduling decisions.
-func (c *Compiled) OptimalLifetime() (float64, sched.Schedule, error) {
-	return sched.Optimal(c.discs, c.cl)
+// Optimal computes the maximum achievable lifetime and an optimal schedule
+// by direct search over the scheduling decisions (see sched.Solve).
+func (c *Compiled) Optimal(opts sched.Options) (sched.Result, error) {
+	return sched.Solve(c.discs, c.cl, opts)
 }
 
-// OptimalLifetimeWithStats is OptimalLifetime, additionally reporting how
-// much work the search performed (states expanded, memo hits, pruned
-// branches); the sweep runner and the evaluation service surface these.
+// OptimalLifetimeWithStats is Optimal(sched.Options{}) in tuple form. It
+// exists only because the benchmark's search rung calls it; delete it once
+// that rung calls Optimal.
 func (c *Compiled) OptimalLifetimeWithStats() (float64, sched.Schedule, sched.SearchStats, error) {
-	return sched.OptimalWithStats(c.discs, c.cl)
-}
-
-// OptimalLifetimeParallel is OptimalLifetime with the branch exploration
-// spread over a worker pool (workers <= 0 means runtime.NumCPU()).
-func (c *Compiled) OptimalLifetimeParallel(workers int) (float64, sched.Schedule, error) {
-	return sched.OptimalParallel(c.discs, c.cl, workers)
-}
-
-// OptimalLifetimeParallelWithStats is OptimalLifetimeParallel with search
-// statistics (summed over the frontier expansion and all workers).
-func (c *Compiled) OptimalLifetimeParallelWithStats(workers int) (float64, sched.Schedule, sched.SearchStats, error) {
-	return sched.OptimalParallelWithStats(c.discs, c.cl, workers)
+	res, err := c.Optimal(sched.Options{})
+	return res.Lifetime, res.Schedule, res.Stats, err
 }
 
 // BuildTA constructs the TA-KiBaM priced-timed-automata network of the
@@ -375,24 +364,14 @@ func (p *Problem) PolicyRun(policy sched.Policy) (float64, sched.Schedule, error
 	return c.PolicyRun(policy)
 }
 
-// OptimalLifetime computes the maximum achievable lifetime and an optimal
-// schedule by direct search over the scheduling decisions.
-func (p *Problem) OptimalLifetime() (float64, sched.Schedule, error) {
+// Optimal computes the maximum achievable lifetime and an optimal schedule
+// by direct search over the scheduling decisions (see sched.Solve).
+func (p *Problem) Optimal(opts sched.Options) (sched.Result, error) {
 	c, err := p.Compile()
 	if err != nil {
-		return 0, nil, err
+		return sched.Result{}, err
 	}
-	return c.OptimalLifetime()
-}
-
-// OptimalLifetimeParallel is OptimalLifetime with the branch exploration
-// spread over a worker pool (workers <= 0 means runtime.NumCPU()).
-func (p *Problem) OptimalLifetimeParallel(workers int) (float64, sched.Schedule, error) {
-	c, err := p.Compile()
-	if err != nil {
-		return 0, nil, err
-	}
-	return c.OptimalLifetimeParallel(workers)
+	return c.Optimal(opts)
 }
 
 // BuildTA constructs the TA-KiBaM priced-timed-automata network of the

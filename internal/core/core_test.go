@@ -100,10 +100,11 @@ func TestPolicyAndOptimalAgreeWithTA(t *testing.T) {
 	if math.Abs(best-16.28) > 1e-9 {
 		t.Fatalf("best-of-two %v, want 16.28", best)
 	}
-	opt, schedule, err := p.OptimalLifetime()
+	res, err := p.Optimal(sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt, schedule := res.Lifetime, res.Schedule
 	if math.Abs(opt-16.90) > 1e-9 {
 		t.Fatalf("optimal %v, want 16.90", opt)
 	}

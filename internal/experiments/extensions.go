@@ -67,9 +67,11 @@ func LookaheadTable(loads []string) ([]LookaheadRow, error) {
 			}
 			row.Horizons[h] = lt
 		}
-		if row.Optimal, _, err = sched.Optimal(ds, cl); err != nil {
+		res, err := sched.Solve(ds, cl, sched.Options{})
+		if err != nil {
 			return nil, fmt.Errorf("%s optimal: %w", name, err)
 		}
+		row.Optimal = res.Lifetime
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -119,9 +121,11 @@ func MultiBatteryTable(loadName string, maxBatteries int) ([]MultiBatteryRow, er
 		if row.BestOfN, err = sched.Lifetime(ds, cl, sched.BestAvailable()); err != nil {
 			return nil, fmt.Errorf("n=%d best-of-N: %w", n, err)
 		}
-		if row.Optimal, _, err = sched.Optimal(ds, cl); err != nil {
+		res, err := sched.Solve(ds, cl, sched.Options{})
+		if err != nil {
 			return nil, fmt.Errorf("n=%d optimal: %w", n, err)
 		}
+		row.Optimal = res.Lifetime
 		rows = append(rows, row)
 	}
 	return rows, nil

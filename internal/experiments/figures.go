@@ -61,15 +61,15 @@ func Figure6Optimal(sampleEvery int) (*Figure6Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	lifetime, schedule, err := p.OptimalLifetime()
+	res, err := p.Optimal(sched.Options{})
 	if err != nil {
 		return nil, err
 	}
-	points, err := p.TraceSchedule(schedule, sampleEvery)
+	points, err := p.TraceSchedule(res.Schedule, sampleEvery)
 	if err != nil {
 		return nil, err
 	}
-	return assembleFigure6("optimal", lifetime, points, schedule), nil
+	return assembleFigure6("optimal", res.Lifetime, points, res.Schedule), nil
 }
 
 func assembleFigure6(panel string, lifetime float64, points []core.TracePoint, schedule sched.Schedule) *Figure6Series {

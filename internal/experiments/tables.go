@@ -225,9 +225,11 @@ func Table5(opts Table5Options) ([]SchedulingRow, error) {
 		if row.BestOfTwo, err = sched.Lifetime(ds, cl, sched.BestAvailable()); err != nil {
 			return nil, fmt.Errorf("%s best-of-two: %w", name, err)
 		}
-		if row.Optimal, _, err = sched.Optimal(ds, cl); err != nil {
+		res, err := sched.Solve(ds, cl, sched.Options{})
+		if err != nil {
 			return nil, fmt.Errorf("%s optimal: %w", name, err)
 		}
+		row.Optimal = res.Lifetime
 		if opts.ViaTA && !opts.SkipTA[name] {
 			p, err := core.NewProblem([]battery.Params{battery.B1(), battery.B1()}, l)
 			if err != nil {

@@ -17,7 +17,7 @@ type diffBank struct {
 	horizon float64
 	// optimalLoads restricts which loads run the optimal-search differential
 	// (nil = all ten). The 2xB2 searches explore millions of states per load
-	// — minutes of CPU each on the heavy loads — so that bank checks Optimal
+	// — minutes of CPU each on the heavy loads — so that bank checks Solve
 	// on its three cheap loads only; the deterministic policies still cover
 	// all ten loads on every bank.
 	optimalLoads map[string]bool
@@ -81,9 +81,9 @@ func runEngineTrace(t *testing.T, ds []*dkibam.Discretization, cl load.Compiled,
 // TestEngineDifferential holds the event-driven engine to the tick oracle to
 // the exact step on all ten paper loads, for B1/B2 single batteries and
 // two-battery banks, under Sequential, RoundRobin, BestAvailable, and
-// Optimal. For the deterministic policies the full decision trajectory
+// Solve. For the deterministic policies the full decision trajectory
 // (time, epoch, choice, and every battery's discrete state at every
-// decision) must match; for Optimal the returned schedule must replay to the
+// decision) must match; for Solve the returned schedule must replay to the
 // same death step on both engines.
 func TestEngineDifferential(t *testing.T) {
 	banks := diffBanks(t)
@@ -112,7 +112,7 @@ func TestEngineDifferential(t *testing.T) {
 				if bank.optimalLoads != nil && !bank.optimalLoads[name] {
 					return
 				}
-				opt, schedule, err := Optimal(bank.ds, cl)
+				opt, schedule, err := optimal(bank.ds, cl)
 				if err != nil {
 					t.Fatalf("optimal: %v", err)
 				}
@@ -136,15 +136,16 @@ func TestOptimalParallelMatchesSerial(t *testing.T) {
 	ds := b1Pair(t)
 	for _, name := range []string{"CL alt", "ILs alt", "ILs r1", "ILl 500"} {
 		cl := compiled(t, name, 200)
-		serial, _, err := Optimal(ds, cl)
+		serial, _, err := optimal(ds, cl)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, workers := range []int{2, runtime.NumCPU()} {
-			par, schedule, err := OptimalParallel(ds, cl, workers)
+			res, err := Solve(ds, cl, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s (%d workers): %v", name, workers, err)
 			}
+			par, schedule := res.Lifetime, res.Schedule
 			if par != serial {
 				t.Errorf("%s (%d workers): parallel %v, serial %v", name, workers, par, serial)
 			}

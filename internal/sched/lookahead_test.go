@@ -33,7 +33,7 @@ func TestLookaheadRecoversOptimalityGap(t *testing.T) {
 	}
 	for _, tc := range cases {
 		cl := compiled(t, tc.load, 200)
-		opt, _, err := Optimal(ds, cl)
+		opt, _, err := optimal(ds, cl)
 		if err != nil {
 			t.Fatal(err)
 		}

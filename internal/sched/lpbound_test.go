@@ -59,7 +59,7 @@ func TestLPBoundAdmissibleOnWalk(t *testing.T) {
 			// Canonicalized but unpruned: solve returns the exact remaining
 			// optimum from any state, and the shared memo keeps the repeated
 			// probes cheap.
-			o, err := newOptimizer(c.ds, c.cl, SearchOptions{Canonicalize: true})
+			o, err := newOptimizer(c.ds, c.cl, searchOpts{canonicalize: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +117,11 @@ func TestLPBoundAdmissibleAtRoot(t *testing.T) {
 			t.Run(c.bank+"/"+name, func(t *testing.T) {
 				t.Parallel()
 				ds, cl := diffGrid(t, c.bats, name, c.horizon, c.grid, c.grid)
-				lt, _, _, err := OptimalWithOptions(ds, cl, DefaultSearchOptions())
+				res, err := Solve(ds, cl, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				death := int(lt/cl.StepMin + 0.5)
+				death := int(res.Lifetime/cl.StepMin + 0.5)
 				sys, err := dkibam.NewSystem(ds, cl)
 				if err != nil {
 					t.Fatal(err)

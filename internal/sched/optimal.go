@@ -78,37 +78,61 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.SharedMemoHits += o.SharedMemoHits
 }
 
-// SearchOptions select the optimal search's optimizations. The zero value is
-// the reference exhaustive search (memoised, but neither canonicalized nor
-// pruned), kept for differential testing and benchmarking against
-// DefaultSearchOptions.
-type SearchOptions struct {
-	// Canonicalize sorts the states of identical batteries inside memo keys,
+// MaxWorkers bounds Options.Workers: the parallel search tags memo entries
+// with a one-byte worker id.
+const MaxWorkers = 256
+
+// ErrTooManyWorkers is returned when Options.Workers exceeds MaxWorkers.
+var ErrTooManyWorkers = errors.New("sched: optimal search workers exceed MaxWorkers")
+
+// Options configure Solve.
+type Options struct {
+	// Workers > 1 spreads the search over a work-stealing pool of that many
+	// workers (see solveParallel); Workers <= 1 runs the serial search. The
+	// lifetime and schedule are the same either way. At most MaxWorkers.
+	Workers int
+	// Reference runs the unoptimised exhaustive search (memoised, but
+	// neither canonicalized nor pruned): the oracle the differential tests
+	// and the benchmark baseline compare the optimised search against.
+	Reference bool
+}
+
+// Result is the outcome of Solve: the optimal lifetime in minutes, the
+// canonical schedule attaining it, and the work the search performed,
+// summed over all workers.
+type Result struct {
+	Lifetime float64
+	Schedule Schedule
+	Stats    SearchStats
+}
+
+// searchOpts select the optimal search's optimizations. The zero value is
+// the reference exhaustive search; Solve runs allOpts. The mixes in between
+// exist for the per-optimisation differential tests.
+type searchOpts struct {
+	// canonicalize sorts the states of identical batteries inside memo keys,
 	// collapsing permutation-equivalent states (up to n! for a homogeneous
 	// bank). Optimality is preserved because identical batteries are
 	// interchangeable: relabelling them maps schedules to schedules of equal
 	// lifetime (see DESIGN.md).
-	Canonicalize bool
-	// Prune enables branch-and-bound: children whose admissible
+	canonicalize bool
+	// prune enables branch-and-bound: children whose admissible
 	// charge-vs-demand bound cannot beat the best lifetime found so far are
 	// cut, and children are explored best-bound-first so the incumbent
 	// tightens early.
-	Prune bool
-	// LPBound layers a second, tighter admissible bound — the LP relaxation
+	prune bool
+	// lpBound layers a second, tighter admissible bound — the LP relaxation
 	// of the remaining-schedule problem (see lpBounder) — behind the cheap
 	// charge bound. It is evaluated lazily, only on children the cheap bound
 	// failed to prune, and only at their first expansion (re-encounters carry
-	// a memo bound that is at least as sharp). Requires Prune.
-	LPBound bool
+	// a memo bound that is at least as sharp). Requires prune.
+	lpBound bool
 }
 
-// DefaultSearchOptions enables every optimization; Optimal and
-// OptimalParallel use them.
-func DefaultSearchOptions() SearchOptions {
-	return SearchOptions{Canonicalize: true, Prune: true, LPBound: true}
-}
+// allOpts enables every optimization.
+var allOpts = searchOpts{canonicalize: true, prune: true, lpBound: true}
 
-// Optimal computes the maximum achievable system lifetime and a schedule
+// Solve computes the maximum achievable system lifetime and a schedule
 // that attains it by branch-and-bound depth-first search over all scheduling
 // decisions of the discretized battery system, with memoisation on
 // canonicalized decision states. The search is iterative (an explicit frame
@@ -119,53 +143,66 @@ func DefaultSearchOptions() SearchOptions {
 // This search is an independent cross-check of the priced-timed-automata
 // route of the paper (internal/takibam + internal/mc): both must agree on
 // the optimal lifetime, which the integration tests assert.
-func Optimal(ds []*dkibam.Discretization, cl load.Compiled) (float64, Schedule, error) {
-	lt, schedule, _, err := OptimalWithOptions(ds, cl, DefaultSearchOptions())
-	return lt, schedule, err
+func Solve(ds []*dkibam.Discretization, cl load.Compiled, opts Options) (Result, error) {
+	so := allOpts
+	if opts.Reference {
+		so = searchOpts{}
+	}
+	return solveWith(ds, cl, opts.Workers, so)
 }
 
-// OptimalWithStats is Optimal, additionally reporting search statistics.
-func OptimalWithStats(ds []*dkibam.Discretization, cl load.Compiled) (float64, Schedule, SearchStats, error) {
-	return OptimalWithOptions(ds, cl, DefaultSearchOptions())
-}
-
-// OptimalWithOptions runs the optimal search with explicit optimization
-// options. The returned lifetime and schedule are identical for every option
-// set — the options only change how much of the state space must be visited
-// to prove it — which the differential tests pin on the paper's loads and
-// banks. The schedule is the canonical optimal schedule (see reconstruct),
-// so it is also identical to what the parallel search returns.
-func OptimalWithOptions(ds []*dkibam.Discretization, cl load.Compiled, opts SearchOptions) (float64, Schedule, SearchStats, error) {
-	o, best, err := solveOptimal(ds, cl, opts)
+// solveWith is Solve with explicit optimizations. The returned lifetime and
+// schedule are identical for every option set and worker count — the
+// options only change how much of the state space must be visited to prove
+// it — which the differential tests pin on the paper's loads and banks. The
+// schedule is the canonical optimal schedule (see reconstruct). On error,
+// Stats holds whatever the parallel workers counted; the serial search
+// reports none.
+func solveWith(ds []*dkibam.Discretization, cl load.Compiled, workers int, so searchOpts) (Result, error) {
+	if workers > MaxWorkers {
+		return Result{}, fmt.Errorf("%w (have %d, max %d)", ErrTooManyWorkers, workers, MaxWorkers)
+	}
+	if err := validateBank(ds); err != nil {
+		return Result{}, err
+	}
+	var (
+		o     *optimizer
+		best  int32
+		stats SearchStats
+		err   error
+	)
+	if workers <= 1 {
+		o, best, err = solveSerial(ds, cl, so)
+	} else {
+		o, best, stats, err = solveParallel(ds, cl, workers, so)
+	}
 	if err != nil {
-		return 0, nil, SearchStats{}, err
+		return Result{Stats: stats}, err
 	}
 	walk, err := dkibam.NewSystem(ds, cl)
 	if err != nil {
-		return 0, nil, SearchStats{}, err
+		return Result{}, err
 	}
 	scratch, err := dkibam.NewSystem(ds, cl)
 	if err != nil {
-		return 0, nil, SearchStats{}, err
+		return Result{}, err
 	}
-	schedule, err := o.reconstruct(walk, scratch, int32(best))
+	schedule, err := o.reconstruct(walk, scratch, best)
 	if err != nil {
-		return 0, nil, SearchStats{}, err
+		return Result{}, err
 	}
-	return float64(best) * cl.StepMin, schedule, o.stats, nil
+	return Result{Lifetime: float64(best) * cl.StepMin, Schedule: schedule, Stats: o.stats}, nil
 }
 
-// solveOptimal runs the search from the initial state and returns the
-// optimizer (holding the filled memo table) and the best death step.
-func solveOptimal(ds []*dkibam.Discretization, cl load.Compiled, opts SearchOptions) (*optimizer, int, error) {
-	if err := validateBank(ds); err != nil {
-		return nil, 0, err
-	}
+// solveSerial runs the search from the initial state on one optimizer and
+// returns it (holding the filled memo table and the stats) and the best
+// death step.
+func solveSerial(ds []*dkibam.Discretization, cl load.Compiled, so searchOpts) (*optimizer, int32, error) {
 	sys, err := dkibam.NewSystem(ds, cl)
 	if err != nil {
 		return nil, 0, err
 	}
-	o, err := newOptimizer(ds, cl, opts)
+	o, err := newOptimizer(ds, cl, so)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -173,7 +210,7 @@ func solveOptimal(ds []*dkibam.Discretization, cl load.Compiled, opts SearchOpti
 	if err != nil {
 		return nil, 0, err
 	}
-	return o, best, nil
+	return o, int32(best), nil
 }
 
 // validateBank enforces the search's feasibility caps: at most
@@ -292,7 +329,7 @@ type stateKey struct {
 
 type optimizer struct {
 	cl    load.Compiled
-	opts  SearchOptions
+	opts  searchOpts
 	memo  memoTable
 	stats SearchStats
 
@@ -304,7 +341,7 @@ type optimizer struct {
 	// demand is the load's draw-event profile backing the admissible bound;
 	// nil without pruning.
 	demand *load.Demand
-	// lpb evaluates the LP-relaxation bound; nil unless Prune and LPBound.
+	// lpb evaluates the LP-relaxation bound; nil unless prune and lpBound.
 	lpb *lpBounder
 
 	// incumbent is the best realized death step this optimizer knows of (-1
@@ -362,7 +399,7 @@ func DistinctBatteryTypes(params []battery.Params) int {
 	return len(types)
 }
 
-func newOptimizer(ds []*dkibam.Discretization, cl load.Compiled, opts SearchOptions) (*optimizer, error) {
+func newOptimizer(ds []*dkibam.Discretization, cl load.Compiled, opts searchOpts) (*optimizer, error) {
 	o := &optimizer{
 		cl:        cl,
 		opts:      opts,
@@ -370,7 +407,7 @@ func newOptimizer(ds []*dkibam.Discretization, cl load.Compiled, opts SearchOpti
 		nbat:      len(ds),
 		incumbent: -1,
 	}
-	if opts.Canonicalize {
+	if opts.canonicalize {
 		byKey := make(map[battGroupKey][]int)
 		order := make([]battGroupKey, 0, len(ds))
 		for i, d := range ds {
@@ -386,13 +423,13 @@ func newOptimizer(ds []*dkibam.Discretization, cl load.Compiled, opts SearchOpti
 			}
 		}
 	}
-	if opts.Prune {
+	if opts.prune {
 		d, err := load.NewDemand(cl)
 		if err != nil {
 			return nil, err
 		}
 		o.demand = d
-		if opts.LPBound {
+		if opts.lpBound {
 			o.lpb = newLPBounder(ds, cl)
 		}
 	}
@@ -578,7 +615,7 @@ func (o *optimizer) expand(sys *dkibam.System, parent dkibam.State, key stateKey
 				o.fold(&f, e.death, e.death)
 				continue
 			}
-			if o.opts.Prune && e.bound <= o.cumbent() {
+			if o.opts.prune && e.bound <= o.cumbent() {
 				o.skip(&f, e.bound)
 				continue
 			}
@@ -588,7 +625,7 @@ func (o *optimizer) expand(sys *dkibam.System, parent dkibam.State, key stateKey
 			ub = e.bound
 			known = true
 		}
-		if o.opts.Prune {
+		if o.opts.prune {
 			if b := o.bound(sys); b < ub {
 				ub = b
 			}
@@ -686,7 +723,7 @@ func (o *optimizer) solve(sys *dkibam.System) (int, error) {
 			// The incumbent has typically grown since this child was
 			// expanded, and its subtree may have been resolved or bounded
 			// away under a sibling: re-check both before descending.
-			if o.opts.Prune && c.ub <= o.cumbent() {
+			if o.opts.prune && c.ub <= o.cumbent() {
 				o.skip(f, c.ub)
 				o.releaseChild(c)
 				continue
@@ -698,7 +735,7 @@ func (o *optimizer) solve(sys *dkibam.System) (int, error) {
 					o.releaseChild(c)
 					continue
 				}
-				if o.opts.Prune && e.bound <= o.cumbent() {
+				if o.opts.prune && e.bound <= o.cumbent() {
 					o.skip(f, e.bound)
 					o.releaseChild(c)
 					continue

@@ -36,13 +36,13 @@ func diffGrid(t *testing.T, bats []battery.Params, loadName string, horizon, ste
 // options reproduce the pre-optimization exhaustive search exactly.
 var optionMatrix = []struct {
 	name string
-	opts SearchOptions
+	opts searchOpts
 }{
-	{"canon+prune+lp", DefaultSearchOptions()},
-	{"canon+prune", SearchOptions{Canonicalize: true, Prune: true}},
-	{"prune+lp", SearchOptions{Prune: true, LPBound: true}},
-	{"canon", SearchOptions{Canonicalize: true}},
-	{"prune", SearchOptions{Prune: true}},
+	{"canon+prune+lp", allOpts},
+	{"canon+prune", searchOpts{canonicalize: true, prune: true}},
+	{"prune+lp", searchOpts{prune: true, lpBound: true}},
+	{"canon", searchOpts{canonicalize: true}},
+	{"prune", searchOpts{prune: true}},
 }
 
 // checkSearch runs the optimized searches (and the parallel variant) on one
@@ -52,10 +52,11 @@ var optionMatrix = []struct {
 func checkSearch(t *testing.T, ds []*dkibam.Discretization, cl load.Compiled, want float64, parallel bool) {
 	t.Helper()
 	for _, m := range optionMatrix {
-		lt, schedule, _, err := OptimalWithOptions(ds, cl, m.opts)
+		res, err := solveWith(ds, cl, 1, m.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
+		lt, schedule := res.Lifetime, res.Schedule
 		if lt != want {
 			t.Errorf("%s: lifetime %v, reference search says %v", m.name, lt, want)
 		}
@@ -68,10 +69,11 @@ func checkSearch(t *testing.T, ds []*dkibam.Discretization, cl load.Compiled, wa
 		}
 	}
 	if parallel {
-		lt, schedule, _, err := OptimalParallelWithStats(ds, cl, 4)
+		res, err := Solve(ds, cl, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("parallel: %v", err)
 		}
+		lt, schedule := res.Lifetime, res.Schedule
 		if lt != want {
 			t.Errorf("parallel: lifetime %v, reference search says %v", lt, want)
 		}
@@ -86,7 +88,7 @@ func checkSearch(t *testing.T, ds []*dkibam.Discretization, cl load.Compiled, wa
 }
 
 // TestOptimalDifferentialLight pins the canonicalized, pruned and parallel
-// searches to the live reference search (SearchOptions zero value — exactly
+// searches to the live reference search (Options.Reference — exactly
 // the pre-optimization exhaustive search) on every paper load for the banks
 // where the reference search is cheap: single batteries, the 2xB1 pair of
 // Table 5, and the cheap loads of the heavier banks. The heavy cells of
@@ -121,11 +123,11 @@ func TestOptimalDifferentialLight(t *testing.T) {
 			t.Run(c.bank+"/"+name, func(t *testing.T) {
 				t.Parallel()
 				ds, cl := diffGrid(t, c.bats, name, c.horizon, c.grid, c.grid)
-				want, _, _, err := OptimalWithOptions(ds, cl, SearchOptions{})
+				ref, err := Solve(ds, cl, Options{Reference: true})
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
-				checkSearch(t, ds, cl, want, c.parallel)
+				checkSearch(t, ds, cl, ref.Lifetime, c.parallel)
 			})
 		}
 	}
@@ -134,8 +136,8 @@ func TestOptimalDifferentialLight(t *testing.T) {
 // TestOptimalDifferentialHeavy completes the ten-loads × five-banks matrix
 // on the cells where the reference search needs tens of seconds to minutes:
 // the optimized searches must reproduce the recorded reference lifetimes
-// exactly. The goldens were produced by OptimalWithOptions(..,
-// SearchOptions{}) — the pre-optimization search — on the same grids; the
+// exactly. The goldens were produced by the reference search
+// (Options.Reference, the pre-optimization search) on the same grids; the
 // live equality of the two searches on these very cells was verified once
 // when recording them (see EXPERIMENTS.md).
 func TestOptimalDifferentialHeavy(t *testing.T) {
@@ -168,10 +170,11 @@ func TestOptimalDifferentialHeavy(t *testing.T) {
 				t.Skip("heavy optimal cells")
 			}
 			ds, cl := diffGrid(t, c.bats, c.load, c.horizon, 0.05, 0.05)
-			lt, schedule, _, err := OptimalWithStats(ds, cl)
+			res, err := Solve(ds, cl, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			lt, schedule := res.Lifetime, res.Schedule
 			if math.Abs(lt-c.want) > 1e-9 {
 				t.Errorf("lifetime %v, recorded reference %v", lt, c.want)
 			}
@@ -195,22 +198,22 @@ func TestOptimalPruningDifferential(t *testing.T) {
 	hiC := battery.Params{Capacity: 1.2, C: 0.8, KPrime: 0.2, Label: "HiC"}
 	bats := battery.Bank(hiC, 3)
 	ds, cl := diffGrid(t, bats, "ILs alt", 200, 0.01, 0.01)
-	want, _, ref, err := OptimalWithOptions(ds, cl, SearchOptions{})
+	ref, err := Solve(ds, cl, Options{Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, _, stats, err := OptimalWithStats(ds, cl)
+	res, err := Solve(ds, cl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lt != want {
-		t.Fatalf("pruned search: %v, reference %v", lt, want)
+	if res.Lifetime != ref.Lifetime {
+		t.Fatalf("pruned search: %v, reference %v", res.Lifetime, ref.Lifetime)
 	}
-	if stats.Pruned == 0 {
+	if res.Stats.Pruned == 0 {
 		t.Error("charge bound never pruned in a supply-dominated regime")
 	}
-	if stats.States >= ref.States {
-		t.Errorf("pruned+canonicalized search explored %d states, reference %d", stats.States, ref.States)
+	if res.Stats.States >= ref.Stats.States {
+		t.Errorf("pruned+canonicalized search explored %d states, reference %d", res.Stats.States, ref.Stats.States)
 	}
 }
 
@@ -230,10 +233,11 @@ func TestOptimalBeyondEightBatteries(t *testing.T) {
 	} {
 		bats := battery.Bank(small, tc.n)
 		ds, cl := diffGrid(t, bats, "ILs alt", 200, 0.01, 0.01)
-		lt, schedule, stats, err := OptimalWithStats(ds, cl)
+		res, err := Solve(ds, cl, Options{})
 		if err != nil {
 			t.Fatalf("%d batteries: %v", tc.n, err)
 		}
+		lt, schedule, stats := res.Lifetime, res.Schedule, res.Stats
 		if math.Abs(lt-tc.want) > 1e-9 {
 			t.Errorf("%d batteries: lifetime %v, want %v", tc.n, lt, tc.want)
 		}
@@ -261,7 +265,7 @@ func TestOptimalBeyondEightBatteries(t *testing.T) {
 	// A bank beyond the new cap still errors cleanly.
 	bats := battery.Bank(small, MaxOptimalBatteries+1)
 	ds, cl := diffGrid(t, bats, "ILs alt", 200, 0.01, 0.01)
-	if _, _, err := Optimal(ds, cl); !errors.Is(err, ErrTooManyBatteries) {
+	if _, err := Solve(ds, cl, Options{}); !errors.Is(err, ErrTooManyBatteries) {
 		t.Fatalf("beyond MaxOptimalBatteries: %v, want ErrTooManyBatteries", err)
 	}
 	// Past 8 batteries the bank must contain interchangeable batteries —
@@ -274,17 +278,17 @@ func TestOptimalBeyondEightBatteries(t *testing.T) {
 		}
 	}
 	ds, cl = diffGrid(t, diverse, "ILs alt", 200, 0.01, 0.01)
-	if _, _, err := Optimal(ds, cl); !errors.Is(err, ErrBankTooDiverse) {
+	if _, err := Solve(ds, cl, Options{}); !errors.Is(err, ErrBankTooDiverse) {
 		t.Fatalf("all-distinct 9-bank: %v, want ErrBankTooDiverse", err)
 	}
-	if _, _, err := OptimalParallel(ds, cl, 2); !errors.Is(err, ErrBankTooDiverse) {
+	if _, err := Solve(ds, cl, Options{Workers: 2}); !errors.Is(err, ErrBankTooDiverse) {
 		t.Fatalf("all-distinct 9-bank parallel: %v, want ErrBankTooDiverse", err)
 	}
 	// 9 batteries of few types stay allowed (8 small + 1 shifted).
 	mixed := battery.Bank(small, 8)
 	mixed = append(mixed, battery.Params{Capacity: 0.3, C: battery.ItsyC, KPrime: battery.ItsyKPrime})
 	ds, cl = diffGrid(t, mixed, "ILs alt", 200, 0.01, 0.01)
-	if _, _, err := Optimal(ds, cl); err != nil {
+	if _, err := Solve(ds, cl, Options{}); err != nil {
 		t.Fatalf("two-type 9-bank: %v", err)
 	}
 }

@@ -4,8 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"batsched/internal/dkibam"
 	"batsched/internal/load"
 )
+
+// optimal is the default serial Solve in the (lifetime, schedule, error)
+// shape most tests check.
+func optimal(ds []*dkibam.Discretization, cl load.Compiled) (float64, Schedule, error) {
+	res, err := Solve(ds, cl, Options{})
+	return res.Lifetime, res.Schedule, err
+}
 
 // TestTable5Optimal pins the optimal lifetimes of Table 5 (two B1
 // batteries). The engine-exact values sit within 4 steps (0.08 min) of the
@@ -29,7 +37,7 @@ func TestTable5Optimal(t *testing.T) {
 	}
 	for name, w := range want {
 		cl := compiled(t, name, 200)
-		got, schedule, err := Optimal(ds, cl)
+		got, schedule, err := optimal(ds, cl)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -56,7 +64,7 @@ func TestOptimalDominatesPolicies(t *testing.T) {
 	ds := b1Pair(t)
 	for _, name := range []string{"CL alt", "ILs alt", "ILs r1", "ILs r2", "ILs 500", "ILl 500"} {
 		cl := compiled(t, name, 200)
-		opt, _, err := Optimal(ds, cl)
+		opt, _, err := optimal(ds, cl)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -79,7 +87,7 @@ func TestOptimalImprovementShapes(t *testing.T) {
 	ds := b1Pair(t)
 	gain := func(name string) float64 {
 		cl := compiled(t, name, 200)
-		opt, _, err := Optimal(ds, cl)
+		opt, _, err := optimal(ds, cl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +116,7 @@ func TestOptimalImprovementShapes(t *testing.T) {
 func TestOptimalSingleBattery(t *testing.T) {
 	ds := b1Pair(t)[:1]
 	cl := compiled(t, "ILs 250", 200)
-	opt, schedule, err := Optimal(ds, cl)
+	opt, schedule, err := optimal(ds, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +143,11 @@ func TestOptimalThreeBatteries(t *testing.T) {
 	three := b1Pair(t)
 	three = append(three, d)
 	cl := compiled(t, "ILs alt", 200)
-	opt3, _, err := Optimal(three, cl)
+	opt3, _, err := optimal(three, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt2, _, err := Optimal(three[:2], cl)
+	opt2, _, err := optimal(three[:2], cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestOptimalThreeBatteries(t *testing.T) {
 func TestOptimalHorizonError(t *testing.T) {
 	ds := b1Pair(t)
 	cl := compiled(t, "ILs 250", 5) // far too short for two batteries
-	if _, _, err := Optimal(ds, cl); err == nil {
+	if _, _, err := optimal(ds, cl); err == nil {
 		t.Fatal("no error for an exhausted horizon")
 	}
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,17 +9,16 @@ import (
 	"batsched/internal/load"
 )
 
-// OptimalParallel is Optimal with the branch exploration spread over a
-// work-stealing worker pool. Every worker runs the same branch-and-bound
-// depth-first search as the serial optimizer, but the three pieces of global
-// knowledge are shared: the memo table (sharded, mutex-striped), the
-// incumbent (a single atomic, CAS-max), and the pool of open subtrees
-// (per-worker deques; an idle worker steals the shallowest task of a busy
-// one). Workers split work on demand — a busy worker hands subtrees to its
-// deque only while some worker is hungry — so a search that fits one core
-// runs essentially serially. Workers <= 0 means runtime.NumCPU().
+// solveParallel is the work-stealing search behind Solve (Workers > 1). Every
+// worker runs the same branch-and-bound depth-first search as the serial
+// optimizer, but the three pieces of global knowledge are shared: the memo
+// table (sharded, mutex-striped), the incumbent (a single atomic, CAS-max),
+// and the pool of open subtrees (per-worker deques; an idle worker steals
+// the shallowest task of a busy one). Workers split work on demand — a busy
+// worker hands subtrees to its deque only while some worker is hungry — so a
+// search that fits one core runs essentially serially.
 //
-// The returned lifetime and schedule are identical to Optimal's for every
+// The lifetime and schedule are identical to the serial search's for every
 // worker count and every interleaving:
 //
 //   - Lifetime. The result is read from the global incumbent. Every task's
@@ -39,45 +37,17 @@ import (
 //     which commits at every decision to the lowest-indexed battery whose
 //     subtree provably still reaches the optimum — a property of the state,
 //     not of the search history. The shared memo only short-circuits probes.
-func OptimalParallel(ds []*dkibam.Discretization, cl load.Compiled, workers int) (float64, Schedule, error) {
-	lt, schedule, _, err := OptimalParallelWithOptions(ds, cl, workers, DefaultSearchOptions())
-	return lt, schedule, err
-}
-
-// OptimalParallelWithStats is OptimalParallel, additionally reporting the
-// search statistics summed over all workers. Each worker counts its own
-// work into private counters merged once at the end, so no event is counted
-// twice; in particular a memo lookup increments MemoHits or SharedMemoHits
-// (never both) in exactly one worker's counters.
-func OptimalParallelWithStats(ds []*dkibam.Discretization, cl load.Compiled, workers int) (float64, Schedule, SearchStats, error) {
-	return OptimalParallelWithOptions(ds, cl, workers, DefaultSearchOptions())
-}
-
-// OptimalParallelWithOptions is OptimalParallel with explicit optimization
-// options (see OptimalWithOptions).
-func OptimalParallelWithOptions(ds []*dkibam.Discretization, cl load.Compiled, workers int, sopts SearchOptions) (float64, Schedule, SearchStats, error) {
-	if err := validateBank(ds); err != nil {
-		return 0, nil, SearchStats{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers == 1 {
-		return OptimalWithOptions(ds, cl, sopts)
-	}
-
+//
+// It returns a fresh optimizer over the shared memo for that reconstruction,
+// carrying the search statistics summed over all workers. Each worker counts
+// its own work into private counters merged once at the end, so no event is
+// counted twice; in particular a memo lookup increments MemoHits or
+// SharedMemoHits (never both) in exactly one worker's counters.
+func solveParallel(ds []*dkibam.Discretization, cl load.Compiled, workers int, so searchOpts) (*optimizer, int32, SearchStats, error) {
 	root, err := dkibam.NewSystem(ds, cl)
 	if err != nil {
-		return 0, nil, SearchStats{}, err
+		return nil, 0, SearchStats{}, err
 	}
-	_, pending, err := root.AdvanceToDecision()
-	if err != nil {
-		return 0, nil, SearchStats{}, fmt.Errorf("%w: %w", errHorizon, err)
-	}
-	if !pending {
-		return float64(root.DeathStep()) * cl.StepMin, nil, SearchStats{Leaves: 1}, nil
-	}
-
 	p := &parSearch{memo: newSharedMemo(), deques: make([]psDeque, workers)}
 	p.inc.Store(-1)
 	p.pending.Store(1)
@@ -97,7 +67,7 @@ func OptimalParallelWithOptions(ds []*dkibam.Discretization, cl load.Compiled, w
 				p.fail(err)
 				return
 			}
-			o, err := newOptimizer(ds, cl, sopts)
+			o, err := newOptimizer(ds, cl, so)
 			if err != nil {
 				p.fail(err)
 				return
@@ -135,30 +105,16 @@ func OptimalParallelWithOptions(ds []*dkibam.Discretization, cl load.Compiled, w
 	}
 	wg.Wait()
 	if p.err != nil {
-		return 0, nil, stats, p.err
-	}
-
-	best := p.inc.Load()
-	walk, err := dkibam.NewSystem(ds, cl)
-	if err != nil {
-		return 0, nil, stats, err
-	}
-	scratch, err := dkibam.NewSystem(ds, cl)
-	if err != nil {
-		return 0, nil, stats, err
+		return nil, 0, stats, p.err
 	}
 	// Reconstruction runs serially on a fresh optimizer over the shared
 	// memo; its probes never see the workers' incumbents or spawn hooks.
-	ro, err := newOptimizer(ds, cl, sopts)
+	ro, err := newOptimizer(ds, cl, so)
 	if err != nil {
-		return 0, nil, stats, err
+		return nil, 0, stats, err
 	}
-	ro.memo = p.memo
-	schedule, err := ro.reconstruct(walk, scratch, best)
-	if err != nil {
-		return 0, nil, stats, err
-	}
-	return float64(best) * cl.StepMin, schedule, stats, nil
+	ro.memo, ro.stats = p.memo, stats
+	return ro, p.inc.Load(), stats, nil
 }
 
 // psTask is one open subtree of the parallel search: a saved system state

@@ -36,24 +36,24 @@ func TestOptimalParallelDeterminism(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			ds, cl := diffGrid(t, c.bats, c.load, c.horizon, c.grid, c.grid)
-			wantLT, wantSched, err := Optimal(ds, cl)
+			want, err := Solve(ds, cl, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantBytes, err := json.Marshal(wantSched)
+			wantBytes, err := json.Marshal(want.Schedule)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range workerCounts {
 				for rep := 0; rep < 3; rep++ {
-					lt, sched, err := OptimalParallel(ds, cl, workers)
+					res, err := Solve(ds, cl, Options{Workers: workers})
 					if err != nil {
 						t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
 					}
-					if lt != wantLT {
-						t.Fatalf("workers=%d rep=%d: lifetime %v, serial %v", workers, rep, lt, wantLT)
+					if res.Lifetime != want.Lifetime {
+						t.Fatalf("workers=%d rep=%d: lifetime %v, serial %v", workers, rep, res.Lifetime, want.Lifetime)
 					}
-					got, err := json.Marshal(sched)
+					got, err := json.Marshal(res.Schedule)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -79,7 +79,7 @@ func TestSharedMemoHitAttribution(t *testing.T) {
 	shared := newSharedMemo()
 
 	run := func(wid uint8) (*optimizer, int) {
-		o, err := newOptimizer(ds, cl, DefaultSearchOptions())
+		o, err := newOptimizer(ds, cl, allOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +118,12 @@ func TestSharedMemoHitAttribution(t *testing.T) {
 // report stealing or shared-memo traffic.
 func TestSerialStatsHaveNoParallelCounters(t *testing.T) {
 	ds, cl := diffGrid(t, []battery.Params{battery.B1(), battery.B1()}, "ILs alt", 200, 0.01, 0.01)
-	_, _, stats, err := OptimalWithStats(ds, cl)
+	res, err := Solve(ds, cl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Steals != 0 || stats.SharedMemoHits != 0 {
-		t.Fatalf("serial search reported parallel counters: %+v", stats)
+	if res.Stats.Steals != 0 || res.Stats.SharedMemoHits != 0 {
+		t.Fatalf("serial search reported parallel counters: %+v", res.Stats)
 	}
 }
 
@@ -141,10 +141,11 @@ func TestOptimalParallelMixedSixBatteries(t *testing.T) {
 	bats := []battery.Params{b1, b1, b1, b2, b2, b2}
 	ds, cl := diffGrid(t, bats, "ILs 500", 2000, 0.5, 0.5)
 
-	serialLT, serialSched, stats, err := OptimalWithStats(ds, cl)
+	serial, err := Solve(ds, cl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	serialLT, serialSched, stats := serial.Lifetime, serial.Schedule, serial.Stats
 	if stats.LPBounds == 0 {
 		t.Fatalf("mixed-bank search never consulted the LP bound: %+v", stats)
 	}
@@ -166,10 +167,11 @@ func TestOptimalParallelMixedSixBatteries(t *testing.T) {
 		t.Fatalf("schedule replays to %v, search says %v", replayed, serialLT)
 	}
 
-	parLT, parSched, parStats, err := OptimalParallelWithStats(ds, cl, 4)
+	par, err := Solve(ds, cl, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	parLT, parSched, parStats := par.Lifetime, par.Schedule, par.Stats
 	if parLT != serialLT {
 		t.Fatalf("parallel lifetime %v, serial %v", parLT, serialLT)
 	}

@@ -15,7 +15,7 @@ type replayPolicy struct {
 
 // Replay returns a policy that re-applies a recorded schedule, validating
 // that each decision arrives at the recorded time. Use it to re-simulate an
-// optimal schedule (from Optimal or from the timed-automata route) while
+// optimal schedule (from Solve or from the timed-automata route) while
 // sampling charge traces.
 func Replay(name string, schedule Schedule) Policy {
 	return &replayPolicy{name: name, schedule: schedule}

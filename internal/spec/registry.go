@@ -167,7 +167,8 @@ type LookaheadParams struct {
 type OptimalParams struct {
 	// Parallel spreads the branch exploration over a worker pool.
 	Parallel bool `json:"parallel,omitempty"`
-	// Workers sizes the pool (0 with Parallel = number of CPUs).
+	// Workers sizes the pool, at most sched.MaxWorkers; 1 is the serial
+	// search, and 0 with Parallel is the number of CPUs.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -282,18 +283,16 @@ func init() {
 			if err := decodeParams(raw, &p); err != nil {
 				return sweep.PolicyCase{}, err
 			}
-			if p.Workers < 0 {
+			if p.Workers < 0 || p.Workers > sched.MaxWorkers {
 				return sweep.PolicyCase{}, fmt.Errorf(
-					"%w: optimal workers must be non-negative (got %d)", ErrSolverParams, p.Workers)
+					"%w: optimal workers must be in [0, %d] (got %d)", ErrSolverParams, sched.MaxWorkers, p.Workers)
 			}
+			// A workers count above one runs the parallel search on its own;
+			// parallel with no count means every CPU.
 			pc := sweep.OptimalCase()
-			// A positive workers count implies the parallel search — asking
-			// for a pool and silently running serial would be a lie.
-			if p.Parallel || p.Workers > 1 {
-				pc.OptimalWorkers = p.Workers
-				if pc.OptimalWorkers <= 1 {
-					pc.OptimalWorkers = runtime.NumCPU()
-				}
+			pc.OptimalWorkers = p.Workers
+			if p.Parallel && p.Workers == 0 {
+				pc.OptimalWorkers = runtime.NumCPU()
 			}
 			return pc, nil
 		},

@@ -192,6 +192,29 @@ func TestOptimalWorkersImpliesParallel(t *testing.T) {
 	if pc.OptimalWorkers < 1 {
 		t.Fatalf("parallel with no pool size built %+v, want NumCPU workers", pc)
 	}
+	// An explicit count is honoured, also with parallel: one worker is one.
+	s, err = NamedSolver("optimal", OptimalParams{Parallel: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err = BuildSolver(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.OptimalWorkers != 1 {
+		t.Fatalf("parallel with workers=1 built %d workers, want 1", pc.OptimalWorkers)
+	}
+	// A pool past the search's cap is a parameter error, not a huge
+	// allocation.
+	for _, w := range []int{sched.MaxWorkers + 1, 1 << 30} {
+		s, err = NamedSolver("optimal", OptimalParams{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildSolver(s); !errors.Is(err, ErrSolverParams) {
+			t.Fatalf("workers=%d: %v, want ErrSolverParams", w, err)
+		}
+	}
 }
 
 // TestCompiledScenarioRuns drives a compiled scenario through the sweep

@@ -11,9 +11,9 @@ import "encoding/json"
 // wrapped store is indistinguishable from a bare one.
 //
 // Counters is part of the interface on purpose: a store wrapped in a tier
-// must not hide its replay-health counters (quarantined lines, skipped
-// legacy records) from the metrics endpoint just because the caller holds
-// the wrapper instead of the concrete type.
+// must not hide its replay-health counter (quarantined lines) from the
+// metrics endpoint just because the caller holds the wrapper instead of the
+// concrete type.
 type Backend interface {
 	// GetRequest returns the ordered result lines stored under a
 	// whole-request digest, counting a request-level hit or miss.
@@ -35,7 +35,7 @@ type Backend interface {
 	// PutCell stores one immutable result line under a cell digest.
 	PutCell(digest string, line json.RawMessage) error
 	// Counters snapshots the store's effectiveness and health counters,
-	// including the replay counters (Quarantined, LegacySkipped) of
+	// including the replay counter (Quarantined) of
 	// whatever file-backed tier sits underneath.
 	Counters() Counters
 	// Degraded reports whether the write circuit is open (read-only mode).

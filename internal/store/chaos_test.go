@@ -151,9 +151,9 @@ func TestReplayQuarantinesCRCMismatch(t *testing.T) {
 	}
 }
 
-// Records written before checksumming (no crc field) are accepted
-// unverified, so pre-existing store files keep working.
-func TestReplayAcceptsCRCLessRecords(t *testing.T) {
+// A record with no crc field is verified against zero like any other, so
+// an unchecksummed line is quarantined instead of served unverified.
+func TestReplayQuarantinesCRCLessRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.ndjson")
 	old := `{"cell":"old-cell","result":{"solver":"bestof","lifetime_min":16.28}}` + "\n"
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
@@ -164,11 +164,51 @@ func TestReplayAcceptsCRCLessRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if line, ok := s.PeekCell("old-cell"); !ok || string(line) != `{"solver":"bestof","lifetime_min":16.28}` {
-		t.Fatalf("CRC-less record not loaded: %s ok=%v", line, ok)
+	if line, ok := s.PeekCell("old-cell"); ok {
+		t.Fatalf("CRC-less record served unverified: %s", line)
 	}
-	if c := s.Counters(); c.Quarantined != 0 {
-		t.Fatalf("Quarantined = %d, want 0", c.Quarantined)
+	if c := s.Counters(); c.Quarantined != 1 {
+		t.Fatalf("Quarantined = %d, want 1", c.Quarantined)
+	}
+}
+
+// Damaging the "crc" key must not switch verification off for its line:
+// with the key misspelt and the payload altered, the record is quarantined
+// rather than served.
+func TestReplayQuarantinesDamagedCRCKey(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.ndjson")
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutCell("abc", json.RawMessage(`{"lifetime_min":16.9}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"crc"`)) || !bytes.Contains(data, []byte(`16.9`)) {
+		t.Fatalf("record lacks the fields to tamper with: %s", data)
+	}
+	tampered := bytes.Replace(bytes.Replace(data, []byte(`"crc"`), []byte(`"crb"`), 1),
+		[]byte(`16.9`), []byte(`96.9`), 1)
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if line, ok := re.GetCell("abc"); ok {
+		t.Fatalf("tampered record served: %s", line)
+	}
+	if c := re.Counters(); c.Quarantined != 1 {
+		t.Fatalf("Quarantined = %d, want 1", c.Quarantined)
 	}
 }
 

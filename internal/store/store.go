@@ -31,9 +31,10 @@
 //     newline, turning it into one quarantinable line instead of letting
 //     the new record glue onto it.
 //
-// Legacy whole-request records written by the previous store format are
-// recognized and skipped on replay, as are CRC-less records from files
-// written before checksumming (accepted unverified).
+// Every line is verified on replay: a line with no "crc" field checks
+// against zero, so a damaged key cannot switch verification off, and lines
+// of retired formats (unchecksummed records, pre-cell whole-request
+// records) are quarantined like any other unrecognizable line.
 package store
 
 import (
@@ -187,17 +188,14 @@ type Store struct {
 	appendLatency *obs.Histogram // commit latency, nil = not observed
 
 	quarantined  atomic.Int64 // corrupt complete lines skipped on replay
-	legacySkips  atomic.Int64 // legacy whole-request records skipped on replay
 	appendErrors atomic.Int64 // puts that exhausted retries (breaker trips)
 	appendRetry  atomic.Int64 // individual append retries
 	droppedPuts  atomic.Int64 // puts rejected fast while degraded
 	syncErrors   atomic.Int64 // fsync failures (data written, durability degraded)
 }
 
-// record is one append-only file line. Exactly one of Cell, Req, or Digest
-// is set: a cell result, a request index, or a legacy (pre-cell-granular)
-// whole-request entry. CRC is a CRC-32C over the content fields; records
-// written before checksumming lack it and are accepted unverified.
+// record is one append-only file line. Exactly one of Cell or Req is set: a
+// cell result or a request index. CRC is a CRC-32C over the content fields.
 type record struct {
 	// Cell + Result: one stored cell line.
 	Cell   string          `json:"cell,omitempty"`
@@ -205,14 +203,9 @@ type record struct {
 	// Req + Cells: the whole-request index entry.
 	Req   string   `json:"req,omitempty"`
 	Cells []string `json:"cells,omitempty"`
-	// Digest + Results: a legacy (pre-cell-granular) whole-request record,
-	// recognized so old files open cleanly but not loaded — the digest
-	// scheme changed, so nothing can ever look these entries up again.
-	Digest  string            `json:"digest,omitempty"`
-	Results []json.RawMessage `json:"results,omitempty"`
-	// CRC guards the content fields above. A true checksum of zero (1 in
-	// 2^32) is indistinguishable from "absent" and replays unverified —
-	// an accepted, harmless corner.
+	// CRC guards the content fields above. A true checksum of zero is
+	// written without the field and still verifies, since absent reads as
+	// zero.
 	CRC uint32 `json:"crc,omitempty"`
 }
 
@@ -344,13 +337,15 @@ func OpenWith(opts Options) (*Store, error) {
 }
 
 // decodeRecord parses one non-empty file line, reporting false for a line
-// replay must quarantine: bad JSON or a CRC mismatch.
+// replay must quarantine: bad JSON or a CRC mismatch. Every line is checked;
+// a missing or misspelt "crc" key reads as zero and fails unless the
+// content's checksum really is zero.
 func (s *Store) decodeRecord(line []byte) (record, bool) {
 	var rec record
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return record{}, false
 	}
-	if rec.CRC != 0 && rec.CRC != s.crc(&rec) {
+	if rec.CRC != s.crc(&rec) {
 		return record{}, false
 	}
 	return rec, true
@@ -364,14 +359,6 @@ func (s *Store) replay(rec record) bool {
 		s.cells[rec.Cell] = rec.Result
 	case rec.Req != "":
 		s.requests[rec.Req] = rec.Cells
-	case rec.Digest != "":
-		// Legacy whole-request record: detected so the file opens cleanly
-		// and the replay offset advances past it, but deliberately not
-		// loaded. Its request digest was computed by the retired scheme, so
-		// no future submission can produce that key; the entry is dead
-		// weight, not a servable result. Counted so an operator can see how
-		// much of a file is unaddressable history.
-		s.legacySkips.Add(1)
 	default:
 		return false
 	}
@@ -770,11 +757,9 @@ type Counters struct {
 	// a sweep that reuses 180 of 200 cells advances CellHits by 180 and
 	// CellMisses by 20.
 	CellHits, CellMisses int64
-	// Quarantined counts corrupt complete lines skipped on replay;
-	// LegacySkipped counts recognizable pre-cell-granular records skipped
-	// because their digest scheme is retired (dead weight, not servable).
-	Quarantined   int64
-	LegacySkipped int64
+	// Quarantined counts corrupt or unrecognizable complete lines skipped
+	// on replay.
+	Quarantined int64
 	// AppendErrors counts puts that exhausted their retries (each trips
 	// the breaker); AppendRetries counts individual retry attempts;
 	// DroppedPuts counts puts rejected fast while degraded; SyncErrors
@@ -801,7 +786,6 @@ func (s *Store) Counters() Counters {
 		CellHits:      s.cellHits.Load(),
 		CellMisses:    s.cellMisses.Load(),
 		Quarantined:   s.quarantined.Load(),
-		LegacySkipped: s.legacySkips.Load(),
 		AppendErrors:  s.appendErrors.Load(),
 		AppendRetries: s.appendRetry.Load(),
 		DroppedPuts:   s.droppedPuts.Load(),

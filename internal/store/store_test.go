@@ -163,13 +163,10 @@ func TestFileBackendSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatMigration: a store file written by the previous
-// whole-request format (PR 4: {"digest":...,"results":[...]} records) opens
-// cleanly and accepts new cell-granular appends alongside the old records.
-// The legacy entries themselves are detected but not loaded — the digest
-// scheme changed with cell granularity, so no new submission can address
-// them; keeping the file readable (and its torn-tail handling intact) is
-// the migration, and the store rebuilds organically from new runs.
+// TestLegacyFormatMigration: a line of the retired whole-request format
+// ({"digest":...,"results":[...]}, unchecksummed) is quarantined like any
+// unrecognizable line, yet the store still opens, appends cell-granular
+// records next to it and keeps its torn-tail handling intact.
 func TestLegacyFormatMigration(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.ndjson")
 	legacy := `{"digest":"old-req","results":[{"solver":"bestof","lifetime_min":16.28},{"solver":"optimal","lifetime_min":16.9}]}` + "\n"
@@ -184,8 +181,8 @@ func TestLegacyFormatMigration(t *testing.T) {
 	if _, ok := s.GetRequest("old-req"); ok {
 		t.Fatal("retired-scheme digest served (nothing can ever compute this key again)")
 	}
-	if c := s.Counters(); c.Entries != 0 || c.Requests != 0 {
-		t.Fatalf("legacy records loaded as live entries: %+v", c)
+	if c := s.Counters(); c.Entries != 0 || c.Requests != 0 || c.Quarantined != 1 {
+		t.Fatalf("legacy line not quarantined: %+v", c)
 	}
 	// New cell-granular entries append next to the legacy record.
 	if err := s.PutRequest("new-req", []string{"cell-a"}, lines(`{"v":1}`)); err != nil {

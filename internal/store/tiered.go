@@ -153,7 +153,7 @@ func (t *Tiered) writeThrough(digest string, line json.RawMessage) {
 }
 
 // Counters snapshots the local tier's counters — including the replay
-// health counters (Quarantined, LegacySkipped) that must stay visible
+// health counter (Quarantined) that must stay visible
 // through the wrapper.
 func (t *Tiered) Counters() Counters { return t.local.Counters() }
 

@@ -154,15 +154,15 @@ func TestTieredDisarmedPassThrough(t *testing.T) {
 	}
 }
 
-// TestTieredExposesReplayCounters is the satellite regression: a wrapped
-// file store's quarantine and legacy-skip counters must stay visible
-// through the Backend interface, or /metrics would lose them the moment
-// batserve holds a Tiered instead of the concrete *Store.
+// TestTieredExposesReplayCounters: a wrapped file store's quarantine
+// counter must stay visible through the Backend interface, or /metrics
+// would lose it the moment batserve holds a Tiered instead of the concrete
+// *Store.
 func TestTieredExposesReplayCounters(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "results.ndjson")
-	// One good cell record, one legacy whole-request record, one corrupt
-	// line.
+	// One good cell record, then a line of the retired whole-request format
+	// and a corrupt line, both quarantined.
 	good, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -193,11 +193,8 @@ func TestTieredExposesReplayCounters(t *testing.T) {
 	defer reopened.Close()
 	var backend Backend = NewTiered(reopened, newFakeRemote())
 	c := backend.Counters()
-	if c.Quarantined != 1 {
-		t.Fatalf("Quarantined through Backend = %d, want 1", c.Quarantined)
-	}
-	if c.LegacySkipped != 1 {
-		t.Fatalf("LegacySkipped through Backend = %d, want 1", c.LegacySkipped)
+	if c.Quarantined != 2 {
+		t.Fatalf("Quarantined through Backend = %d, want 2", c.Quarantined)
 	}
 	if c.Entries != 1 {
 		t.Fatalf("Entries = %d, want 1", c.Entries)

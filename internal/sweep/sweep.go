@@ -76,7 +76,7 @@ type PolicyCase struct {
 	Policy sched.Policy
 	// Optimal selects the exhaustive optimal search instead of a policy.
 	Optimal bool
-	// OptimalWorkers sets the optimal search's worker pool (0 = serial);
+	// OptimalWorkers sets the optimal search's worker pool (<= 1 = serial);
 	// only meaningful with Optimal. Note that the sweep itself already runs
 	// scenarios in parallel, so nested workers mainly help sparse grids.
 	OptimalWorkers int
@@ -405,19 +405,13 @@ func Run(spec Spec, opts Options) ([]Result, error) {
 
 // runScenario executes one scenario on a shared compiled artifact.
 func runScenario(c *core.Compiled, pc PolicyCase) (lifetime float64, decisions int, stats *sched.SearchStats, err error) {
-	var schedule sched.Schedule
 	switch {
 	case pc.Run != nil:
 		lifetime, decisions, err = pc.Run(c)
 		return lifetime, decisions, nil, err
-	case pc.Optimal && pc.OptimalWorkers > 1:
-		var st sched.SearchStats
-		lifetime, schedule, st, err = c.OptimalLifetimeParallelWithStats(pc.OptimalWorkers)
-		stats = &st
 	case pc.Optimal:
-		var st sched.SearchStats
-		lifetime, schedule, st, err = c.OptimalLifetimeWithStats()
-		stats = &st
+		res, err := c.Optimal(sched.Options{Workers: pc.OptimalWorkers})
+		return res.Lifetime, len(res.Schedule), &res.Stats, err
 	case pc.Policy != nil:
 		// The pooled count variant: no Schedule is materialized and the
 		// per-run System is recycled, so a policy scenario on a hot cell
@@ -427,5 +421,4 @@ func runScenario(c *core.Compiled, pc PolicyCase) (lifetime float64, decisions i
 	default:
 		return 0, 0, nil, fmt.Errorf("sweep: policy case %q has neither a policy nor the optimal flag", pc.Name)
 	}
-	return lifetime, len(schedule), stats, err
 }

@@ -47,11 +47,11 @@ func TestSweepMatchesDirect(t *testing.T) {
 			}
 			want[p.Name()] = lt
 		}
-		opt, _, err := c.OptimalLifetime()
+		opt, err := c.Optimal(sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want["optimal"] = opt
+		want["optimal"] = opt.Lifetime
 		for _, r := range results {
 			if r.Load != lc.Name {
 				continue

@@ -45,10 +45,11 @@ func TestTAOptimalHeavyLoads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		direct, _, err := sched.Optimal(ds, cl)
+		opt, err := sched.Solve(ds, cl, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		direct := opt.Lifetime
 		if math.Abs(sol.LifetimeMinutes-direct) > 1e-9 {
 			t.Errorf("%s: TA %v vs direct %v", tc.name, sol.LifetimeMinutes, direct)
 		}

@@ -109,10 +109,11 @@ func TestTwoBatteryOptimalMatchesDirectSearch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		direct, _, err := sched.Optimal(ds, cl)
+		opt, err := sched.Solve(ds, cl, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		direct := opt.Lifetime
 		if math.Abs(sol.LifetimeMinutes-direct) > 1e-9 {
 			t.Errorf("%s: TA optimal %v vs direct optimal %v", name, sol.LifetimeMinutes, direct)
 		}
